@@ -1,6 +1,7 @@
 # viewplan build targets. `make check` is the fast pre-commit gate
-# (vet + viewplanlint + race-enabled obs/corecover tests); `make lint`
-# runs just the repo's analyzer suite; `make test` is the full suite;
+# (vet + viewplanlint + race-enabled tests of the shared-state
+# packages); `make lint` runs just the repo's analyzer suite; `make
+# test` is the full suite;
 # `make bench` runs the engine allocation gate (Fig. 6a M2 planning,
 # allocs/op diffed against scripts/bench_engine_baseline.txt, >10%
 # regression fails); `make benchall` runs every benchmark; `make
@@ -14,8 +15,8 @@
 # beats the legacy one by 2x at 5k+ views; `make exec-bench` gates plan
 # execution (scripts/bench_exec.sh): cmd/benchexec diffs wall/allocs/
 # peak resident rows against the checked-in BENCH_exec.json and fails
-# unless streaming keeps ≥5× fewer resident rows and the symmetric hash
-# join allocates ≥2× less than the materialized replay; `make trace`
+# unless streaming keeps ≥5× fewer resident rows than the materialized
+# replay; `make trace`
 # exports a
 # sample Perfetto trace of a Fig. 6a run and validates the trace-event
 # JSON with tracecheck.

@@ -1,17 +1,16 @@
 // Command benchexec measures plan execution — the materialized JoinStep
-// replay versus the streaming iterator path versus the symmetric hash
-// join — on a high-cardinality chain workload whose intermediate join
-// results dwarf the final answer (workload.ExecChain), and writes
+// replay versus the streaming iterator path — on a high-cardinality
+// chain workload whose intermediate join results dwarf the final answer
+// (workload.ExecChain), and writes
 // BENCH_exec.json with wall-clock, allocations, and peak resident rows
 // per strategy.
 //
 // The run self-gates on the ratios the streaming executor exists for:
 // the materialized peak must exceed the answer by at least 100×
 // (otherwise the workload is not exercising the interesting regime),
-// cache-less streaming must keep at least 5× fewer resident rows than
-// the materialized replay, and the symmetric hash join must allocate at
-// least 2× less. Results are checked byte-identical across strategies
-// before anything is measured.
+// and streaming must keep at least 5× fewer resident rows than the
+// materialized replay. Results are checked byte-identical across
+// strategies before anything is measured.
 //
 // With -check, the freshly measured numbers are also compared against
 // the checked-in report: peak resident rows must match exactly (they
@@ -58,7 +57,6 @@ type report struct {
 	Cores       int     `json:"cores"`
 	Blowup      int64   `json:"materialized_blowup"`
 	PeakRatio   int64   `json:"stream_peak_ratio"`
-	AllocRatio  float64 `json:"symmetric_alloc_ratio"`
 	Points      []point `json:"points"`
 }
 
@@ -100,7 +98,6 @@ func run(keys, fanout, heads, iters int, out string, check bool) error {
 	}{
 		{"materialized", cost.ExecOptions{}},
 		{"streaming", cost.ExecOptions{StreamExec: true}},
-		{"symmetric", cost.ExecOptions{StreamExec: true, SymmetricJoins: true}},
 	}
 
 	// Identity witness first: every strategy must produce the
@@ -122,7 +119,7 @@ func run(keys, fanout, heads, iters int, out string, check bool) error {
 
 	rep := report{
 		Description: fmt.Sprintf(
-			"Plan execution on the high-cardinality chain workload (intermediates keys and keys*fanout rows, answer <= heads^2): materialized JoinStep replay vs streaming iterators vs symmetric hash join, %d runs averaged per strategy. Results are byte-identical across strategies; peak_resident_rows is deterministic and gated exactly, allocs within 10%%.",
+			"Plan execution on the high-cardinality chain workload (intermediates keys and keys*fanout rows, answer <= heads^2): materialized JoinStep replay vs streaming iterators, %d runs averaged per strategy. Results are byte-identical across strategies; peak_resident_rows is deterministic and gated exactly, allocs within 10%%.",
 			iters),
 		Command: "go run ./cmd/benchexec",
 		Keys:    keys, FanOut: fanout, Heads: heads,
@@ -158,20 +155,15 @@ func run(keys, fanout, heads, iters int, out string, check bool) error {
 			s.name, time.Duration(p.WallNanos), p.AllocsPerOp, p.PeakRows, p.Rows)
 	}
 
-	mat, str, sym := byName["materialized"], byName["streaming"], byName["symmetric"]
+	mat, str := byName["materialized"], byName["streaming"]
 	rep.Blowup = mat.PeakRows / int64(mat.Rows)
 	rep.PeakRatio = mat.PeakRows / max64(str.PeakRows, 1)
-	rep.AllocRatio = float64(mat.AllocsPerOp) / float64(max64(sym.AllocsPerOp, 1))
-	fmt.Printf("blowup %d× (gate ≥100), stream peak ratio %d× (gate ≥5), symmetric alloc ratio %.1f× (gate ≥2)\n",
-		rep.Blowup, rep.PeakRatio, rep.AllocRatio)
+	fmt.Printf("blowup %d× (gate ≥100), stream peak ratio %d× (gate ≥5)\n", rep.Blowup, rep.PeakRatio)
 	if rep.Blowup < 100 {
 		return fmt.Errorf("materialized intermediates exceed the answer only %d×, gate ≥100×", rep.Blowup)
 	}
 	if rep.PeakRatio < 5 {
 		return fmt.Errorf("streaming peak only %d× below materialized, gate ≥5×", rep.PeakRatio)
-	}
-	if rep.AllocRatio < 2 {
-		return fmt.Errorf("symmetric join alloc ratio only %.2f×, gate ≥2×", rep.AllocRatio)
 	}
 
 	if check {

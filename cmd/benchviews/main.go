@@ -42,20 +42,20 @@ import (
 
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to regenerate: 6a, 6b, 7a, 7b, 8a, 8b, 9a, 9b, or all")
-		queries = flag.Int("queries", 0, "queries per point (default: the paper's 40)")
-		viewsFl = flag.String("views", "", "comma-separated view counts (default: 100..1000 step 100)")
-		seed    = flag.Int64("seed", 1, "base random seed")
-		nogroup = flag.Bool("nogroup", false, "ablation: disable view and view-tuple equivalence-class grouping")
-		subg    = flag.Int("subgoals", 0, "query subgoals (default: the paper's 8)")
-		par     = flag.Int("parallel", 1, "planner worker-pool bound inside each CoreCover run: 1 = sequential (the paper's protocol), 0 = GOMAXPROCS; results are identical for every setting")
-		jobs    = flag.Int("jobs", 1, "queries run concurrently per point (1 = sequential); speeds the sweep up without touching per-query times")
-		metrics = flag.String("metrics", "", "write per-run planner metrics (counters, phase times) as JSON to this file")
-		costFl  = flag.String("cost", "", "additionally time M2 or M3 planning per query over materialized views (engine counters then appear in -metrics)")
-		execFl  = flag.String("exec", "", "also execute each chosen plan (needs -cost): materialized, stream, or symmetric; peak_resident_rows and streamed_rows_per_join then appear in -metrics and -registry")
-		capFl   = flag.Int("cap", 0, "cap the rewritings considered per query (0 = all; keeps -cost sweeps bounded)")
-		rows    = flag.Int("rows", 0, "synthetic rows per base relation for -cost runs (default 100)")
-		domain  = flag.Int("domain", 0, "distinct values per column domain for -cost runs (default 100)")
+		fig      = flag.String("fig", "all", "figure to regenerate: 6a, 6b, 7a, 7b, 8a, 8b, 9a, 9b, or all")
+		queries  = flag.Int("queries", 0, "queries per point (default: the paper's 40)")
+		viewsFl  = flag.String("views", "", "comma-separated view counts (default: 100..1000 step 100)")
+		seed     = flag.Int64("seed", 1, "base random seed")
+		nogroup  = flag.Bool("nogroup", false, "ablation: disable view and view-tuple equivalence-class grouping")
+		subg     = flag.Int("subgoals", 0, "query subgoals (default: the paper's 8)")
+		par      = flag.Int("parallel", 1, "planner worker-pool bound inside each CoreCover run: 1 = sequential (the paper's protocol), 0 = GOMAXPROCS; results are identical for every setting")
+		jobs     = flag.Int("jobs", 1, "queries run concurrently per point (1 = sequential); speeds the sweep up without touching per-query times")
+		metrics  = flag.String("metrics", "", "write per-run planner metrics (counters, phase times) as JSON to this file")
+		costFl   = flag.String("cost", "", "additionally time M2 or M3 planning per query over materialized views (engine counters then appear in -metrics)")
+		execFl   = flag.String("exec", "", "also execute each chosen plan (needs -cost): materialized or stream; peak_resident_rows and streamed_rows_per_join then appear in -metrics and -registry")
+		capFl    = flag.Int("cap", 0, "cap the rewritings considered per query (0 = all; keeps -cost sweeps bounded)")
+		rows     = flag.Int("rows", 0, "synthetic rows per base relation for -cost runs (default 100)")
+		domain   = flag.Int("domain", 0, "distinct values per column domain for -cost runs (default 100)")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the sweep to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (post-sweep, after GC) to this file")
 		registry = flag.String("registry", "", "serve live sweep telemetry (counters, phase times, latency histograms) as JSON on this address, e.g. localhost:8080; GET /metrics")
@@ -106,9 +106,9 @@ func run(fig string, queries int, viewsFl string, seed int64, nogroup bool, subg
 	}
 	execMode := strings.ToLower(execFl)
 	switch execMode {
-	case "", "materialized", "stream", "symmetric":
+	case "", "materialized", "stream":
 	default:
-		return fmt.Errorf("bad -exec %q: want materialized, stream, or symmetric", execFl)
+		return fmt.Errorf("bad -exec %q: want materialized or stream", execFl)
 	}
 	if execMode != "" && costModel == 0 {
 		return fmt.Errorf("-exec needs -cost (there is no chosen plan to execute without a cost model)")

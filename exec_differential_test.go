@@ -52,9 +52,9 @@ func tuplesIdentical(t *testing.T, label string, a, b *Relation) {
 // TestDifferentialStreamingExecution is the full-corpus gate of DESIGN
 // §16: for every instance in the 200-instance corpus, under every
 // planning configuration (sequential and parallel rewriting generation,
-// unsharded and sharded cover search), the streaming and symmetric
-// executions of the chosen M2 and M3 plans are byte-identical — same
-// insertion order, not just the same set — to the materialized replay.
+// unsharded and sharded cover search), the streaming executions of the
+// chosen M2 and M3 plans are byte-identical — same insertion order, not
+// just the same set — to the materialized replay.
 func TestDifferentialStreamingExecution(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-corpus differential harness")
@@ -107,17 +107,12 @@ func TestDifferentialStreamingExecution(t *testing.T) {
 					if err != nil {
 						t.Fatalf("instance %d plan %d: materialized: %v", ci, pi, err)
 					}
-					for _, opts := range []ExecOptions{
-						{StreamExec: true},
-						{StreamExec: true, SymmetricJoins: true},
-					} {
-						got, _, err := ExecutePlan(db, plan, opts)
-						if err != nil {
-							t.Fatalf("instance %d plan %d %+v: %v", ci, pi, opts, err)
-						}
-						tuplesIdentical(t, inst.Query.String(), want, got)
-						executed++
+					got, _, err := ExecutePlan(db, plan, ExecOptions{StreamExec: true})
+					if err != nil {
+						t.Fatalf("instance %d plan %d: streaming: %v", ci, pi, err)
 					}
+					tuplesIdentical(t, inst.Query.String(), want, got)
+					executed++
 				}
 			}
 		}
@@ -126,4 +121,46 @@ func TestDifferentialStreamingExecution(t *testing.T) {
 		t.Fatal("differential corpus executed no plans")
 	}
 	t.Logf("differential harness: %d streaming executions byte-identical", executed)
+}
+
+// PlanQuery attaches an IR cache for its cost search, and its streaming
+// execution must not pay for it: on the high-cardinality chain, with the
+// views the end-to-end benchmark plans against, the peak resident rows
+// PlanQuery reports equal those of a cache-less ExecutePlan of the same
+// plan, and the answers are byte-identical.
+func TestPlanQueryStreamPeakMatchesCachelessExecution(t *testing.T) {
+	db := NewDatabase()
+	q, err := workload.ExecChain(db, workload.ExecConfig{Keys: 5000})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs, err := ParseViews(`
+		v12(X0, X1, X2) :- e1(X0, X1), e2(X1, X2).
+		v23(X1, X2, X3) :- e2(X1, X2), e3(X2, X3).
+		v1(X0, X1) :- e1(X0, X1).
+		v3(X2, X3) :- e3(X2, X3).`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db.MaterializeViews(vs); err != nil {
+		t.Fatal(err)
+	}
+	res, err := PlanQuery(db, q, vs, PlanRequest{Model: M2, StreamExec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res == nil || res.ExecStats == nil {
+		t.Fatal("PlanQuery returned no executed plan")
+	}
+	if db.IRCache() != nil {
+		t.Fatal("PlanQuery left its IR cache attached")
+	}
+	want, floor, err := ExecutePlan(db, res.Plan, ExecOptions{StreamExec: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res.ExecStats.PeakResidentRows; got != floor.PeakResidentRows {
+		t.Fatalf("PlanQuery streaming peak %d rows, cache-less execution %d", got, floor.PeakResidentRows)
+	}
+	tuplesIdentical(t, "PlanQuery vs cache-less ExecutePlan", want, res.Answer)
 }

@@ -7,15 +7,12 @@
 // (DESIGN §16: duplicates introduced by skipping intermediate dedup
 // only ever repeat already-emitted value sequences), so the ordered
 // drain at the plan root reproduces the materialized relation
-// byte-for-byte without sorting. Pipelines containing a symmetric hash
-// join (symjoin.go) perturb arrival order and instead tag every row
-// with a provenance rank vector; the drain sorts those lexicographically
-// to recover the same canonical order.
+// byte-for-byte without sorting. No operator holds rows: the only
+// resident rows of a drain are the accumulating result.
 package engine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 
 	"viewplan/internal/cq"
@@ -32,35 +29,6 @@ type RowIterator interface {
 	Schema() Schema
 	Next() ([]uint32, bool)
 	Close()
-}
-
-// rankedIterator is implemented by operators that can tag each row with
-// a provenance rank: a fixed-width vector, lexicographically ordered,
-// whose sort recovers the materialized insertion order after an
-// order-perturbing operator (the symmetric join). NextRanked's row and
-// rank are valid until the following call.
-type rankedIterator interface {
-	RowIterator
-	NextRanked() ([]uint32, []int64, bool)
-	// orderPreserved reports whether arrival order already equals the
-	// canonical materialized order, letting the drain skip rank
-	// collection entirely.
-	orderPreserved() bool
-}
-
-// residentIterator reports how many rows an operator subtree currently
-// holds in execution-owned state (symmetric-join tables, stream
-// buffers). Resident sets only grow during a drain, so sampling at
-// exhaustion captures the peak.
-type residentIterator interface {
-	residentRows() int64
-}
-
-func pipelineResident(it RowIterator) int64 {
-	if r, ok := it.(residentIterator); ok {
-		return r.residentRows()
-	}
-	return 0
 }
 
 // streamFrame is a pooled row buffer: each operator that assembles rows
@@ -169,7 +137,6 @@ func (it *scanIterator) Close() {
 type probeJoinIterator struct {
 	db    *Database
 	in    RowIterator
-	rin   rankedIterator // non-nil when rank propagation is needed
 	spec  atomSpec
 	index *rowIndex
 	w     int // input row width
@@ -178,7 +145,6 @@ type probeJoinIterator struct {
 	probeKey []uint32
 	bucket   []int32
 	bi       int
-	rank     []int64
 
 	emitted int64
 	probed  int64
@@ -203,28 +169,15 @@ func (db *Database) StreamJoin(in RowIterator, atom cq.Atom) (RowIterator, error
 		frame:    newFrame(len(spec.out)),
 		probeKey: make([]uint32, len(spec.curCols)),
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
 	return it, nil
 }
 
-func (it *probeJoinIterator) Schema() Schema       { return it.spec.out }
-func (it *probeJoinIterator) orderPreserved() bool { return it.rin == nil }
+func (it *probeJoinIterator) Schema() Schema { return it.spec.out }
 
 func (it *probeJoinIterator) Next() ([]uint32, bool) {
-	row, _, ok := it.step()
-	return row, ok
-}
-
-func (it *probeJoinIterator) NextRanked() ([]uint32, []int64, bool) {
-	return it.step()
-}
-
-func (it *probeJoinIterator) step() ([]uint32, []int64, bool) {
 	spec := &it.spec
 	if spec.impossible || spec.rel.n == 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	for {
 		for it.bi < len(it.bucket) {
@@ -239,28 +192,11 @@ func (it *probeJoinIterator) step() ([]uint32, []int64, bool) {
 				buf[it.w+j] = right[np]
 			}
 			it.emitted++
-			if it.rin != nil {
-				// The bucket row number extends the input's rank: buckets
-				// list rows in insertion order, so (input rank, ri) sorts
-				// emissions into the materialized nested-loop order.
-				it.rank[len(it.rank)-1] = int64(ri)
-			}
-			return buf, it.rank, true
+			return buf, true
 		}
-		var left []uint32
-		var ok bool
-		if it.rin != nil {
-			var lrank []int64
-			left, lrank, ok = it.rin.NextRanked()
-			if ok {
-				it.rank = append(it.rank[:0], lrank...)
-				it.rank = append(it.rank, 0)
-			}
-		} else {
-			left, ok = it.in.Next()
-		}
+		left, ok := it.in.Next()
 		if !ok {
-			return nil, nil, false
+			return nil, false
 		}
 		if it.index == nil {
 			it.index = spec.rel.indexFor(spec.joinCols)
@@ -290,13 +226,10 @@ func (it *probeJoinIterator) Close() {
 	it.in.Close()
 }
 
-func (it *probeJoinIterator) residentRows() int64 { return pipelineResident(it.in) }
-
 // filterIterator applies built-in comparisons to a stream, compiled
 // against the input schema exactly like FilterComparisons.
 type filterIterator struct {
 	in     RowIterator
-	rin    rankedIterator
 	intern *Interner
 	checks []streamCheck
 }
@@ -341,16 +274,11 @@ func (db *Database) StreamFilter(in RowIterator, comps []cq.Comparison) (RowIter
 		}
 		it.checks[i] = streamCheck{op: c.Op, lcol: lc, rcol: rc, lval: lv, rval: rv}
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
 	return it, nil
 }
 
-func (it *filterIterator) Schema() Schema       { return it.in.Schema() }
-func (it *filterIterator) Close()               { it.in.Close() }
-func (it *filterIterator) orderPreserved() bool { return it.rin == nil }
-func (it *filterIterator) residentRows() int64  { return pipelineResident(it.in) }
+func (it *filterIterator) Schema() Schema { return it.in.Schema() }
+func (it *filterIterator) Close()         { it.in.Close() }
 
 func (it *filterIterator) passes(row []uint32) bool {
 	for _, ch := range it.checks {
@@ -380,24 +308,11 @@ func (it *filterIterator) Next() ([]uint32, bool) {
 	}
 }
 
-func (it *filterIterator) NextRanked() ([]uint32, []int64, bool) {
-	for {
-		row, rank, ok := it.rin.NextRanked()
-		if !ok {
-			return nil, nil, false
-		}
-		if it.passes(row) {
-			return row, rank, true
-		}
-	}
-}
-
 // projectIterator keeps only the given variables, in the given order:
 // the streaming counterpart of VarRelation.Project minus the dedup,
 // which the drain at the root performs instead.
 type projectIterator struct {
 	in    RowIterator
-	rin   rankedIterator
 	out   Schema
 	cols  []int
 	frame *streamFrame
@@ -422,38 +337,21 @@ func StreamProject(in RowIterator, keep []cq.Var) (RowIterator, error) {
 		cols:  cols,
 		frame: newFrame(len(keep)),
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
 	return it, nil
 }
 
-func (it *projectIterator) Schema() Schema       { return it.out }
-func (it *projectIterator) orderPreserved() bool { return it.rin == nil }
-func (it *projectIterator) residentRows() int64  { return pipelineResident(it.in) }
-
-func (it *projectIterator) apply(row []uint32) []uint32 {
-	buf := it.frame.buf
-	for j, c := range it.cols {
-		buf[j] = row[c]
-	}
-	return buf
-}
+func (it *projectIterator) Schema() Schema { return it.out }
 
 func (it *projectIterator) Next() ([]uint32, bool) {
 	row, ok := it.in.Next()
 	if !ok {
 		return nil, false
 	}
-	return it.apply(row), true
-}
-
-func (it *projectIterator) NextRanked() ([]uint32, []int64, bool) {
-	row, rank, ok := it.rin.NextRanked()
-	if !ok {
-		return nil, nil, false
+	buf := it.frame.buf
+	for j, c := range it.cols {
+		buf[j] = row[c]
 	}
-	return it.apply(row), rank, true
+	return buf, true
 }
 
 func (it *projectIterator) Close() {
@@ -470,7 +368,6 @@ func (it *projectIterator) Close() {
 // fast path as Evaluate's interned projection.
 type headIterator struct {
 	in       RowIterator
-	rin      rankedIterator
 	cols     []int // input column, or -1 for a constant position
 	constIDs []uint32
 	frame    *streamFrame
@@ -500,17 +397,16 @@ func (db *Database) StreamHead(in RowIterator, head cq.Atom) (RowIterator, error
 			it.constIDs[i] = db.in.ID(a)
 		}
 	}
-	if r, ok := in.(rankedIterator); ok && !r.orderPreserved() {
-		it.rin = r
-	}
 	return it, nil
 }
 
-func (it *headIterator) Schema() Schema       { return nil }
-func (it *headIterator) orderPreserved() bool { return it.rin == nil }
-func (it *headIterator) residentRows() int64  { return pipelineResident(it.in) }
+func (it *headIterator) Schema() Schema { return nil }
 
-func (it *headIterator) apply(row []uint32) []uint32 {
+func (it *headIterator) Next() ([]uint32, bool) {
+	row, ok := it.in.Next()
+	if !ok {
+		return nil, false
+	}
 	buf := it.frame.buf
 	for i, c := range it.cols {
 		if c < 0 {
@@ -519,23 +415,7 @@ func (it *headIterator) apply(row []uint32) []uint32 {
 			buf[i] = row[c]
 		}
 	}
-	return buf
-}
-
-func (it *headIterator) Next() ([]uint32, bool) {
-	row, ok := it.in.Next()
-	if !ok {
-		return nil, false
-	}
-	return it.apply(row), true
-}
-
-func (it *headIterator) NextRanked() ([]uint32, []int64, bool) {
-	row, rank, ok := it.rin.NextRanked()
-	if !ok {
-		return nil, nil, false
-	}
-	return it.apply(row), rank, true
+	return buf, true
 }
 
 func (it *headIterator) Close() {
@@ -555,21 +435,20 @@ type StreamStats struct {
 	// before set-semantics dedup.
 	RawRows int64
 	// PeakResidentRows is the peak number of execution-owned resident
-	// rows: operator state (symmetric tables, stream buffers) plus the
-	// accumulating result, plus the rank-sort staging on ranked drains.
+	// rows. Operators hold only their pooled frames and the stored
+	// relations' indexes, never rows, so this is the result size.
 	PeakResidentRows int64
 }
 
 // DrainStream materializes a stream into a named relation with set
-// semantics. Order-preserving pipelines insert rows as they arrive;
-// pipelines containing a symmetric join are drained through a rank sort
-// first. Either way the result is byte-identical to the materialized
-// path's relation. bumpGen controls whether inserts advance the
-// database generation (the IR cache's staleness clock): query
-// evaluation bumps it like Evaluate does, while plan execution drains
-// with bumpGen=false so executing one candidate rewriting does not
-// invalidate intermediates cached for the next. The pipeline is closed
-// before returning.
+// semantics, inserting rows as they arrive: the pipeline preserves the
+// materialized insertion order, so the result is byte-identical to the
+// materialized path's relation. bumpGen controls whether inserts
+// advance the database generation (the IR cache's staleness clock):
+// query evaluation bumps it like Evaluate does, while plan execution
+// drains with bumpGen=false so executing one candidate rewriting does
+// not invalidate intermediates cached for the next. The pipeline is
+// closed before returning.
 func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen bool) (*Relation, StreamStats) {
 	var gen *uint64
 	if bumpGen {
@@ -577,87 +456,31 @@ func (db *Database) DrainStream(name string, arity int, it RowIterator, bumpGen 
 	}
 	out := newRelationIn(name, arity, db.in, gen)
 	var stats StreamStats
-	ranked := false
-	if r, ok := it.(rankedIterator); ok && !r.orderPreserved() {
-		ranked = true
-		drainRanked(out, r, &stats)
-	} else {
-		for {
-			row, ok := it.Next()
-			if !ok {
-				break
-			}
-			stats.RawRows++
-			out.insertIDs(row)
-		}
-	}
-	stats.Rows = out.Size()
-	stats.PeakResidentRows = pipelineResident(it) + int64(out.Size())
-	if ranked {
-		stats.PeakResidentRows += stats.RawRows
-	}
-	peakResidentHist.Observe(stats.PeakResidentRows)
-	it.Close()
-	return out, stats
-}
-
-// drainRanked collects every (row, rank) pair, sorts by rank — rank
-// vectors are pairwise distinct, so the lexicographic order is total
-// and the sort deterministic — and inserts in that order, recovering
-// the materialized insertion sequence.
-func drainRanked(out *Relation, r rankedIterator, stats *StreamStats) {
-	w := out.Arity
-	var rows []uint32
-	var ranks []int64
-	rankW := 0
 	for {
-		row, rank, ok := r.NextRanked()
+		row, ok := it.Next()
 		if !ok {
 			break
 		}
-		rankW = len(rank)
 		stats.RawRows++
-		rows = append(rows, row...)
-		ranks = append(ranks, rank...)
+		out.insertIDs(row)
 	}
-	n := int(stats.RawRows)
-	order := make([]int, n)
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		ra := ranks[order[a]*rankW : order[a]*rankW+rankW]
-		rb := ranks[order[b]*rankW : order[b]*rankW+rankW]
-		for k := 0; k < rankW; k++ {
-			if ra[k] != rb[k] {
-				return ra[k] < rb[k]
-			}
-		}
-		return false
-	})
-	for _, i := range order {
-		out.insertIDs(rows[i*w : i*w+w])
-	}
-}
-
-// StreamOptions configures the streaming evaluation pipeline.
-type StreamOptions struct {
-	// Symmetric executes the first join as a streaming symmetric hash
-	// join (symjoin.go) instead of a build/probe join, so neither input
-	// relation's index must be built up front and both sides stream.
-	Symmetric bool
+	stats.Rows = out.Size()
+	stats.PeakResidentRows = int64(out.Size())
+	peakResidentHist.Observe(stats.PeakResidentRows)
+	it.Close()
+	return out, stats
 }
 
 // EvaluateStream computes the same answer relation as Evaluate through
 // the lazy iterator path: no intermediate relation is materialized, and
 // the ordered drain at the root makes the result byte-identical to
 // Evaluate's (same name, same interner, same insertion order).
-func (db *Database) EvaluateStream(q *cq.Query, opt StreamOptions) (*Relation, StreamStats, error) {
+func (db *Database) EvaluateStream(q *cq.Query) (*Relation, StreamStats, error) {
 	if err := q.Validate(); err != nil {
 		return nil, StreamStats{}, err
 	}
 	order := db.greedyOrder(q.Body)
-	it, err := db.BuildJoinPipeline(q.Body, order, nil, opt.Symmetric)
+	it, err := db.BuildJoinPipeline(q.Body, order, nil)
 	if err != nil {
 		return nil, StreamStats{}, err
 	}
@@ -677,22 +500,19 @@ func (db *Database) EvaluateStream(q *cq.Query, opt StreamOptions) (*Relation, S
 
 // BuildJoinPipeline composes scans and joins for the body atoms in the
 // given order. retains[k], when non-nil, projects after step k (the M3
-// supplementary-relation drops); symmetric executes the first join
-// symmetrically. The plan executors in internal/cost drive this with
-// plan orders instead of the greedy one.
-func (db *Database) BuildJoinPipeline(body []cq.Atom, order []int, retains [][]cq.Var, symmetric bool) (RowIterator, error) {
+// supplementary-relation drops). The plan executors in internal/cost
+// drive this with plan orders instead of the greedy one; an empty order
+// yields the unit pipeline, as in JoinAll.
+func (db *Database) BuildJoinPipeline(body []cq.Atom, order []int, retains [][]cq.Var) (RowIterator, error) {
 	if len(order) == 0 {
 		return &unitIterator{}, nil
 	}
 	var it RowIterator
 	var err error
 	for k, idx := range order {
-		switch {
-		case k == 0:
+		if k == 0 {
 			it, err = db.StreamScan(body[idx])
-		case k == 1 && symmetric:
-			it, err = db.StreamSymmetricJoin(it, body[idx])
-		default:
+		} else {
 			it, err = db.StreamJoin(it, body[idx])
 		}
 		if err != nil {

@@ -131,9 +131,8 @@ type SweepConfig struct {
 	CostModel cost.Model
 	// Execute, when non-empty, also executes each chosen plan after a
 	// CostModel run: "materialized" replays the JoinStep chain the cost
-	// simulation measured, "stream" runs the streaming iterator path,
-	// "symmetric" additionally makes the first join a symmetric hash
-	// join. Execution residency then lands in the process histograms
+	// simulation measured, "stream" runs the streaming iterator path.
+	// Execution residency then lands in the process histograms
 	// (peak_resident_rows, streamed_rows_per_join), visible through
 	// Registry and benchviews -metrics / -registry.
 	Execute string
@@ -357,8 +356,6 @@ func planOne(cfg SweepConfig, inst *workload.Instance, qi int) (queryResult, err
 		req.Execute = true
 	case "stream":
 		req.StreamExec = true
-	case "symmetric":
-		req.StreamExec, req.SymmetricJoins = true, true
 	default:
 		return queryResult{}, fmt.Errorf("experiments: unknown Execute mode %q", cfg.Execute)
 	}

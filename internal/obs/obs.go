@@ -149,8 +149,8 @@ const (
 	// CtrBatchedProbes counts view-tuple homomorphism probes evaluated
 	// through a pooled batch frame instead of a per-view kernel setup.
 	CtrBatchedProbes
-	// CtrStreamJoins counts streaming join operators (probe or symmetric)
-	// drained to exhaustion by the iterator execution path.
+	// CtrStreamJoins counts streaming build/probe join operators closed
+	// by the iterator execution path.
 	CtrStreamJoins
 	// CtrStreamedRows counts rows emitted by streaming join operators —
 	// rows that flowed through the pipeline without being materialized

@@ -59,11 +59,10 @@ type PlanRequest struct {
 	// StreamExec executes the chosen plan through the streaming iterator
 	// path instead (implies Execute): lazy scan/join/project operators
 	// drained at the plan root, byte-identical to the materialized
-	// replay but without materializing intermediate relations.
+	// replay but without materializing intermediate relations. No
+	// operator holds rows, so ExecStats.PeakResidentRows is the answer
+	// size, the same as a cache-less ExecutePlan of the chosen plan.
 	StreamExec bool
-	// SymmetricJoins makes a streaming execution run its first join as a
-	// symmetric hash join. Only meaningful with StreamExec.
-	SymmetricJoins bool
 }
 
 // PlanResult is the planner's answer: the chosen rewriting with its
@@ -220,10 +219,7 @@ func PlanQuery(db *Database, q *Query, vs *ViewSet, req PlanRequest) (*PlanResul
 	// Execution rides inside the tracer/registry window so its counters
 	// and histograms land in the same snapshot as the planning run.
 	if req.Execute || req.StreamExec {
-		answer, stats, err := cost.ExecutePlan(db, best.Plan, cost.ExecOptions{
-			StreamExec:     req.StreamExec,
-			SymmetricJoins: req.SymmetricJoins,
-		})
+		answer, stats, err := cost.ExecutePlan(db, best.Plan, cost.ExecOptions{StreamExec: req.StreamExec})
 		if err != nil {
 			return nil, err
 		}

@@ -6,7 +6,7 @@
 # wall-clock is informational only, so the gate is usable on loaded CI
 # machines. The run also self-gates the ratios the streaming executor
 # exists for: materialized blowup ≥100×, streaming peak ≥5× below
-# materialized, symmetric join allocs ≥2× below materialized.
+# materialized.
 #
 # Usage: scripts/bench_exec.sh [-update]
 set -euo pipefail

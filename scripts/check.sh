@@ -2,14 +2,15 @@
 # check.sh — fast pre-commit gate: vet everything, run viewplanlint
 # (the repo's own analyzer suite: determinism, tracer-threading, and
 # intern-safety invariants; see internal/lint), then run the
-# observability, planner-core, view-tuple, and planning-service tests
-# with the race detector (the obs counters, the shared Registry with its
-# atomic histograms — including the end-to-end
+# observability, planner-core, view-tuple, planning-service, engine and
+# cost tests with the race detector (the obs counters, the shared
+# Registry with its atomic histograms — including the end-to-end
 # TestRegistryConcurrentPlanQuery merge test — the hom cache, the
-# parallel fanout, and the resident ViewCatalog + plan cache hammered by
-# the service soak are the only shared mutable state on the hot path, so
-# these are the packages where a data race would hide), and finish with
-# a short fuzz smoke of the cq parser.
+# parallel fanout, the resident ViewCatalog + plan cache hammered by the
+# service soak, the streaming frame pool and the IR cache mutex are the
+# shared mutable state on the hot path, so these are the packages where
+# a data race would hide), and finish with a short fuzz smoke of the cq
+# parser.
 #
 # The lint binary is built once into bin/ (go's build cache makes the
 # rebuild a no-op when nothing changed), keeping the whole gate fast.
@@ -35,8 +36,8 @@ echo "== viewplanlint ./... (per-analyzer counts on stderr)"
 go build -o bin/viewplanlint ./cmd/viewplanlint
 ./bin/viewplanlint -baseline lint_baseline.json ./...
 
-echo "== go test -race ./internal/obs/... ./internal/corecover/... ./internal/views/... ./internal/service/... (VIEWPLAN_PARALLEL=8)"
-VIEWPLAN_PARALLEL=8 go test -race ./internal/obs/... ./internal/corecover/... ./internal/views/... ./internal/service/...
+echo "== go test -race ./internal/obs/... ./internal/corecover/... ./internal/views/... ./internal/service/... ./internal/engine/... ./internal/cost/... (VIEWPLAN_PARALLEL=8)"
+VIEWPLAN_PARALLEL=8 go test -race ./internal/obs/... ./internal/corecover/... ./internal/views/... ./internal/service/... ./internal/engine/... ./internal/cost/...
 
 echo "== exec gate: streaming vs materialized plan execution (scripts/bench_exec.sh)"
 ./scripts/bench_exec.sh

@@ -150,17 +150,18 @@ type (
 	FilterResult = cost.FilterResult
 	// ExecOptions selects how ExecutePlan runs a plan: the default
 	// materialized JoinStep replay, or the streaming iterator path
-	// (StreamExec), optionally with a symmetric hash first join.
+	// (StreamExec).
 	ExecOptions = cost.ExecOptions
 	// ExecStats reports one plan execution's row counts and peak
-	// resident rows.
+	// resident rows (for streaming runs, the answer size).
 	ExecStats = cost.ExecStats
 	// Tracer records hierarchical phase spans and atomic work counters
 	// for one planning run; nil is the no-op default.
 	Tracer = obs.Tracer
 	// IRCache memoizes intermediate join relations across the cost
 	// optimizers' candidate rewritings (Database.SetIRCache). PlanQuery
-	// attaches a fresh one per call when none is set.
+	// attaches a fresh one per call when none is set. Plan execution
+	// never reads it.
 	IRCache = engine.IRCache
 	// PlanningStats is a snapshot of a run's phase durations and
 	// counters (Result.PlanningStats); renders as text or JSON.
@@ -323,10 +324,11 @@ func BestPlanM3(db *Database, p *Query, strategy DropStrategy, q *Query, vs *Vie
 }
 
 // ExecutePlan runs an optimizer-chosen plan over db and returns the
-// answer relation. All strategies — materialized replay, streaming
-// iterators, symmetric hash joins — produce the byte-identical
-// relation; StreamExec trades the materialized path's intermediate
-// relations for constant per-operator state (see ExecOptions).
+// answer relation. Both strategies — the materialized replay and the
+// streaming iterators — produce the byte-identical relation;
+// StreamExec trades the materialized path's intermediate relations for
+// constant per-operator state, so its peak resident rows are the
+// answer size (see ExecOptions and ExecStats).
 func ExecutePlan(db *Database, p *Plan, opts ExecOptions) (*Relation, ExecStats, error) {
 	return cost.ExecutePlan(db, p, opts)
 }
